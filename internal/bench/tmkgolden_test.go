@@ -206,13 +206,16 @@ func assertGolden(t *testing.T, got []goldenCell) {
 // NOWOMP_REGEN_GOLDEN is set; run it after an intentional cost change
 // and paste the output over the matching table. NOWOMP_REGEN_GOLDEN=1
 // captures the Tmk matrix (paste over tmkGolden);
-// NOWOMP_REGEN_GOLDEN=hybrid captures the hybrid matrix (paste over
-// hybridGolden). It is skipped otherwise.
+// NOWOMP_REGEN_GOLDEN=hlrc captures the HLRC matrix (paste over
+// hlrcGolden); NOWOMP_REGEN_GOLDEN=hybrid captures the hybrid matrix
+// (paste over hybridGolden). It is skipped otherwise.
 func TestCaptureGolden(t *testing.T) {
 	proto := dsm.Tmk
 	switch os.Getenv("NOWOMP_REGEN_GOLDEN") {
 	case "":
-		t.Skip("set NOWOMP_REGEN_GOLDEN=1 (tmk) or =hybrid to regenerate a golden table")
+		t.Skip("set NOWOMP_REGEN_GOLDEN=1 (tmk), =hlrc or =hybrid to regenerate a golden table")
+	case "hlrc":
+		proto = dsm.HLRC
 	case "hybrid":
 		proto = dsm.Hybrid
 	}
@@ -247,22 +250,37 @@ func TestHybridTeamSizes(t *testing.T) {
 	}
 }
 
-// TestHLRCKernelMatrix runs the identical kernel matrix under HLRC:
-// every kernel must still match its sequential reference bit for bit
-// across the plain, adaptive and heterogeneous variants — the
-// correctness half of the protocol contract (the pricing half is the
-// protocols experiment).
+// hlrcGolden pins HLRC's cost matrix, captured with TestCaptureGolden
+// under NOWOMP_REGEN_GOLDEN=hlrc. Like hybridGolden it is a regression
+// fence: home assignment, flush pricing and the fault path all move
+// these numbers, so any change to them shows up as a diverged cell.
+var hlrcGolden = []goldenCell{
+	{Name: "gauss/base", Time: 13.225078387202814, Bytes: 144220044, Messages: 104742, Checksum: 265116.67143948283},
+	{Name: "gauss/adapt", Time: 15.533285410203977, Bytes: 144637796, Messages: 108423, Checksum: 265116.67143948283},
+	{Name: "gauss/hetero", Time: 25.458354757004326, Bytes: 147669828, Messages: 110546, Checksum: 265116.67143948283},
+	{Name: "jacobi/base", Time: 0.8456902908000018, Bytes: 12481900, Messages: 7053, Checksum: 450862.44785374403},
+	{Name: "jacobi/adapt", Time: 0.91886460600000286, Bytes: 10618244, Messages: 5933, Checksum: 450862.44785374403},
+	{Name: "jacobi/hetero", Time: 1.6692256992000094, Bytes: 11121972, Messages: 6213, Checksum: 450862.44785374403},
+	{Name: "fft3d/base", Time: 0.12269723999999989, Bytes: 1279232, Messages: 839, Checksum: 2607.0611865067449},
+	{Name: "fft3d/adapt", Time: 0.13998571999999987, Bytes: 1156424, Messages: 744, Checksum: 2607.0611865067449},
+	{Name: "fft3d/hetero", Time: 0.23293648000000033, Bytes: 1122984, Messages: 725, Checksum: 2607.0611865067449},
+	{Name: "nbf/base", Time: 0.69320620799999999, Bytes: 5815504, Messages: 2929, Checksum: 18635.568711964494},
+	{Name: "nbf/adapt", Time: 0.83327231200000096, Bytes: 5392448, Messages: 2688, Checksum: 18635.568711964494},
+	{Name: "nbf/hetero", Time: 1.5133254000000051, Bytes: 5840800, Messages: 2913, Checksum: 18635.568711964494},
+	{Name: "mergesort/base", Time: 0.33485052000000237, Bytes: 2457412, Messages: 1215, Checksum: 1676056.8523008034},
+	{Name: "mergesort/adapt", Time: 0.31307232000000268, Bytes: 2531440, Messages: 1248, Checksum: 1676056.8523008034},
+	{Name: "mergesort/hetero", Time: 0.45591356000000238, Bytes: 2481448, Messages: 1224, Checksum: 1676056.8523008034},
+	{Name: "quadrature/base", Time: 0.1035649599999925, Bytes: 94176, Messages: 98, Checksum: 153.07934230313165},
+	{Name: "quadrature/adapt", Time: 0.1048429599999925, Bytes: 98344, Messages: 100, Checksum: 153.07934230313165},
+	{Name: "quadrature/hetero", Time: 0.13029503999998993, Bytes: 98504, Messages: 103, Checksum: 153.07934230313165},
+}
+
+// TestHLRCKernelMatrix runs the kernel matrix under HLRC and pins both
+// halves of its contract: checksums must equal the Tmk goldens bit for
+// bit, and virtual time, fabric bytes and message counts must reproduce
+// hlrcGolden exactly.
 func TestHLRCKernelMatrix(t *testing.T) {
-	for _, c := range goldenMatrix(t, dsm.HLRC) {
-		// goldenMatrix verifies each checksum against the sequential
-		// reference internally; here we additionally pin the checksums
-		// to the Tmk goldens so both protocols compute the same answer.
-		for _, w := range tmkGolden {
-			if w.Name == c.Name && w.Checksum != c.Checksum {
-				t.Errorf("%s: hlrc checksum %.17g, tmk golden %.17g", c.Name, c.Checksum, w.Checksum)
-			}
-		}
-	}
+	assertProtocolGolden(t, dsm.HLRC, hlrcGolden)
 }
 
 // hybridGolden pins the adaptive protocol's own cost matrix, captured
@@ -300,25 +318,33 @@ var hybridGolden = []goldenCell{
 // message counts must reproduce hybridGolden exactly (the protocol's
 // own pinned cost matrix).
 func TestHybridKernelMatrix(t *testing.T) {
-	got := goldenMatrix(t, dsm.Hybrid)
+	assertProtocolGolden(t, dsm.Hybrid, hybridGolden)
+}
+
+// assertProtocolGolden runs the kernel matrix under proto and requires
+// every checksum to equal the Tmk golden and every time, byte and
+// message count to equal the protocol's own golden table.
+func assertProtocolGolden(t *testing.T, proto dsm.ProtocolKind, golden []goldenCell) {
+	t.Helper()
+	got := goldenMatrix(t, proto)
 	for _, c := range got {
 		for _, w := range tmkGolden {
 			if w.Name == c.Name && w.Checksum != c.Checksum {
-				t.Errorf("%s: hybrid checksum %.17g, tmk golden %.17g", c.Name, c.Checksum, w.Checksum)
+				t.Errorf("%s: %v checksum %.17g, tmk golden %.17g", c.Name, proto, c.Checksum, w.Checksum)
 			}
 		}
 	}
-	if len(got) != len(hybridGolden) {
-		t.Fatalf("matrix has %d cells, hybrid golden table %d", len(got), len(hybridGolden))
+	if len(got) != len(golden) {
+		t.Fatalf("matrix has %d cells, %v golden table %d", len(got), proto, len(golden))
 	}
 	for i, g := range got {
-		w := hybridGolden[i]
+		w := golden[i]
 		if g.Name != w.Name {
-			t.Fatalf("cell %d is %q, hybrid golden table has %q", i, g.Name, w.Name)
+			t.Fatalf("cell %d is %q, %v golden table has %q", i, g.Name, proto, w.Name)
 		}
 		if g.Time != w.Time || g.Bytes != w.Bytes || g.Messages != w.Messages {
-			t.Errorf("%s diverged from hybrid golden:\n  got  (%.17g s, %d B, %d msgs)\n  want (%.17g s, %d B, %d msgs)",
-				g.Name, g.Time, g.Bytes, g.Messages, w.Time, w.Bytes, w.Messages)
+			t.Errorf("%s diverged from %v golden:\n  got  (%.17g s, %d B, %d msgs)\n  want (%.17g s, %d B, %d msgs)",
+				g.Name, proto, g.Time, g.Bytes, g.Messages, w.Time, w.Bytes, w.Messages)
 		}
 	}
 }
