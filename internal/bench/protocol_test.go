@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -111,6 +114,60 @@ func TestReportRendersSortedJSON(t *testing.T) {
 	}
 	if strings.Index(data, "a/earlier") > strings.Index(data, "b/later") {
 		t.Errorf("records not sorted by scenario:\n%s", data)
+	}
+}
+
+// TestProtocolsMatchCommittedBaseline regenerates the protocols
+// experiment at the committed baseline's scale through the -json path
+// (Protocols, AddProtocols, Write) and requires every protocols/*
+// record — scenario, simulated seconds, fabric bytes and messages, and
+// hybrid's coherence record — to equal BENCH_pr10.json byte for byte.
+// Any protocol-layer refactor that claims to preserve costs is held to
+// this. Results are independent of the worker count, so the matrix
+// fans out across every available CPU.
+func TestProtocolsMatchCommittedBaseline(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_pr10.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed Report
+	if err := json.Unmarshal(data, &committed); err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Scale: committed.Scale, Hosts: committed.Hosts, Parallel: runtime.GOMAXPROCS(0)}
+	rows, err := Protocols(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := NewReport(opt)
+	rep.AddProtocols(rows)
+	path := t.TempDir() + "/bench.json"
+	if err := rep.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var fresh Report
+	if err := json.Unmarshal(data, &fresh); err != nil {
+		t.Fatal(err)
+	}
+
+	var want []Record
+	for _, r := range committed.Results {
+		if strings.HasPrefix(r.Scenario, "protocols/") {
+			want = append(want, r)
+		}
+	}
+	if len(fresh.Results) != len(want) {
+		t.Fatalf("protocols experiment produced %d records, BENCH_pr10.json has %d", len(fresh.Results), len(want))
+	}
+	for i, w := range want {
+		wb, _ := json.Marshal(w)
+		gb, _ := json.Marshal(fresh.Results[i])
+		if !bytes.Equal(gb, wb) {
+			t.Errorf("record %d diverged from BENCH_pr10.json:\n  got  %s\n  want %s", i, gb, wb)
+		}
 	}
 }
 
