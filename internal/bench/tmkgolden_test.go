@@ -251,9 +251,12 @@ func TestHybridTeamSizes(t *testing.T) {
 }
 
 // hlrcGolden pins HLRC's cost matrix, captured with TestCaptureGolden
-// under NOWOMP_REGEN_GOLDEN=hlrc. Like hybridGolden it is a regression
-// fence: home assignment, flush pricing and the fault path all move
-// these numbers, so any change to them shows up as a diverged cell.
+// under NOWOMP_REGEN_GOLDEN=hlrc while HLRC still had a standalone
+// implementation. HLRC is now the home-based protocol with its adaptive
+// mechanisms off, and this table is the proof that the fold changed no
+// cost: every cell reproduces the standalone protocol bit for bit. It
+// stays a regression fence — home assignment, flush pricing and the
+// fault path all move these numbers.
 var hlrcGolden = []goldenCell{
 	{Name: "gauss/base", Time: 13.225078387202814, Bytes: 144220044, Messages: 104742, Checksum: 265116.67143948283},
 	{Name: "gauss/adapt", Time: 15.533285410203977, Bytes: 144637796, Messages: 108423, Checksum: 265116.67143948283},

@@ -7,9 +7,31 @@ import (
 	"nowomp/internal/simtime"
 )
 
-// hybridProtocol is the adaptive per-page coherence protocol: a
-// home-based (HLRC-style) baseline whose mechanics specialize per page
-// according to the classifier in classify.go.
+// homeProtocol is home-based lazy release consistency, the protocol
+// family later cluster-OpenMP systems adopted because homeless LRC's
+// diff accumulation and garbage-collection costs dominate at scale. It
+// runs in two configurations, selected by ProtocolKind:
+//
+// HLRC is the plain home-based protocol:
+//
+//   - Every page has a home host, assigned round-robin by page across
+//     the hosts active at allocation time (the directory owner field
+//     doubles as the home).
+//   - Writers twin on first write, and when an interval closes
+//     (barrier, lock release, task handoff) each writer diffs against
+//     its twin and pushes the diff to the home eagerly, where it is
+//     applied at once. No diff outlives its interval close, so
+//     runGCLocked only prunes stale copies, at zero cost and zero
+//     traffic.
+//   - A fault pulls the whole page from the home in one round trip —
+//     no writer-by-writer diff chasing — which trades bytes for
+//     messages exactly the way the literature describes.
+//   - At an adaptation point a leaver's pages re-home round-robin
+//     across the remaining hosts; joiners receive the page-location
+//     map and fault pages in from their homes.
+//
+// Hybrid (adaptive) specializes that baseline per page according to the
+// classifier in classify.go:
 //
 //   - Home migration. A sole writer that is current at an interval
 //     close takes the page's home with it when that costs nothing —
@@ -27,10 +49,10 @@ import (
 //     window of recently applied diffs. A faulting reader whose stale
 //     copy is inside the window pulls just the missing diffs in one
 //     message when they are sparse; a reader outside the window, or
-//     one whose gap is denser than a page, pulls the whole page as
-//     HLRC would. Sparse rotating writers (a claim counter) therefore
-//     cost Tmk-like bytes in HLRC-like message counts, while dense
-//     writers (a migratory record) keep HLRC's whole-page economics.
+//     one whose gap is denser than a page, pulls the whole page.
+//     Sparse rotating writers (a claim counter) therefore cost
+//     Tmk-like bytes in HLRC-like message counts, while dense writers
+//     (a migratory record) keep HLRC's whole-page economics.
 //   - Single-writer elision. A page the classifier has proven
 //     single-writer (one historical writer, no remote readers), whose
 //     writer is its own home and with no other valid copy anywhere,
@@ -38,16 +60,26 @@ import (
 //     there is no concurrent-writer race to evidence and no reader to
 //     serve, so the commit is a sequence-number update. A remote host
 //     touching the page later reclassifies it and the elision stops.
+//   - Configured leave handoff. Migrated homes sit at their writers
+//     like Tmk owners, so the configured handoff is honoured instead
+//     of HLRC's forced round-robin re-home.
 //
-// Correctness never depends on the classifier: every specialization
-// preserves "the home is current as of the last committed interval",
-// so a misclassified page pays extra traffic, never wrong data. The
-// Tmk and HLRC implementations are untouched; hybrid legitimately
-// reshapes traffic and timing, which is why it pins its own golden
-// cells instead of sharing the parents'.
-type hybridProtocol struct {
-	c *Cluster
-	// rr is the round-robin home-assignment cursor (as in HLRC).
+// With adaptive off the classifier never observes, nothing is retained
+// and no twin is elided, so every window branch below is dead and each
+// path reduces to the plain home-based step. Correctness never depends
+// on the classifier: every specialization preserves "the home is
+// current as of the last committed interval", so a misclassified page
+// pays extra traffic, never wrong data. All transfers are priced
+// through the per-link machine.Costs layer, so a slow link to a home,
+// or a loaded home machine, bends these costs differently from Tmk's.
+type homeProtocol struct {
+	c    *Cluster
+	kind ProtocolKind
+	// adaptive enables the hybrid mechanisms: classification, home
+	// migration, retained diff windows and twin elision.
+	adaptive bool
+	// rr is the round-robin home-assignment cursor, advancing across
+	// regions so multi-region programs balance too.
 	rr int
 	// recs/chains hold the per-page classifier history and retained
 	// diff windows, indexed like the directory ([region][page]).
@@ -96,24 +128,28 @@ const (
 	domMigrateRun = 3
 )
 
-// Kind identifies the protocol.
-func (hy *hybridProtocol) Kind() ProtocolKind { return Hybrid }
-
-func (hy *hybridProtocol) rec(pk pageKey) *classRec {
-	return &hy.recs[pk.region][pk.page]
+func newHomeProtocol(c *Cluster, kind ProtocolKind) *homeProtocol {
+	return &homeProtocol{c: c, kind: kind, adaptive: kind == Hybrid}
 }
 
-func (hy *hybridProtocol) chain(pk pageKey) *homeChain {
-	return &hy.chains[pk.region][pk.page]
+// Kind identifies the protocol.
+func (hp *homeProtocol) Kind() ProtocolKind { return hp.kind }
+
+func (hp *homeProtocol) rec(pk pageKey) *classRec {
+	return &hp.recs[pk.region][pk.page]
+}
+
+func (hp *homeProtocol) chain(pk pageKey) *homeChain {
+	return &hp.chains[pk.region][pk.page]
 }
 
 // retain appends a committed diff to the page's window, dropping the
 // oldest intervals when the bounds are exceeded.
-func (hy *hybridProtocol) retain(ch *homeChain, seq int32, w HostID, d *page.Diff) {
+func (hp *homeProtocol) retain(ch *homeChain, seq int32, w HostID, d *page.Diff) {
 	ch.entries = append(ch.entries, chainEntry{seq: seq, writer: w, diff: d})
 	wire := d.WireSize()
 	ch.bytes += wire
-	hy.retained += wire
+	hp.retained += wire
 	for len(ch.entries) > maxChainEntries || ch.bytes > maxChainBytes {
 		// Drop the oldest interval whole: the floor must never split
 		// the entries of one close.
@@ -125,7 +161,7 @@ func (hy *hybridProtocol) retain(ch *homeChain, seq int32, w HostID, d *page.Dif
 		for i < len(ch.entries) && ch.entries[i].seq == s {
 			n := ch.entries[i].diff.WireSize()
 			ch.bytes -= n
-			hy.retained -= n
+			hp.retained -= n
 			i++
 		}
 		ch.entries = append(ch.entries[:0], ch.entries[i:]...)
@@ -135,7 +171,7 @@ func (hy *hybridProtocol) retain(ch *homeChain, seq int32, w HostID, d *page.Dif
 
 // advance commits interval seq without a retained diff: the floor
 // rises, and entries the floor passed are dropped.
-func (hy *hybridProtocol) advance(ch *homeChain, seq int32) {
+func (hp *homeProtocol) advance(ch *homeChain, seq int32) {
 	if seq > ch.floor {
 		ch.floor = seq
 	}
@@ -143,7 +179,7 @@ func (hy *hybridProtocol) advance(ch *homeChain, seq int32) {
 	for i < len(ch.entries) && ch.entries[i].seq <= ch.floor {
 		n := ch.entries[i].diff.WireSize()
 		ch.bytes -= n
-		hy.retained -= n
+		hp.retained -= n
 		i++
 	}
 	if i > 0 {
@@ -153,7 +189,7 @@ func (hy *hybridProtocol) advance(ch *homeChain, seq int32) {
 
 // keepOnly drops every entry not authored by w — a home flip carries
 // only the new home's own diffs — raising the floor past the drops.
-func (hy *hybridProtocol) keepOnly(ch *homeChain, w HostID) {
+func (hp *homeProtocol) keepOnly(ch *homeChain, w HostID) {
 	floor := ch.floor
 	for _, e := range ch.entries {
 		if e.writer != w && e.seq > floor {
@@ -171,7 +207,7 @@ func (hy *hybridProtocol) keepOnly(ch *homeChain, w HostID) {
 			bytes += e.diff.WireSize()
 		}
 	}
-	hy.retained += bytes - ch.bytes
+	hp.retained += bytes - ch.bytes
 	ch.entries = kept
 	ch.bytes = bytes
 	ch.floor = floor
@@ -202,16 +238,17 @@ func (ch *homeChain) window(after int32) ([]chainEntry, int) {
 	return win, wire
 }
 
-// initRegion assigns round-robin homes exactly as HLRC does (the
-// master keeps a copy too, for the sequential sections) and grows the
-// classifier and window tables.
-func (hy *hybridProtocol) initRegion(r *Region) {
-	c := hy.c
+// initRegion assigns each page a round-robin home among the active
+// hosts and materialises the zero-filled page there; the master keeps
+// a copy as well (it runs the sequential sections), which is current
+// because both are zero. The classifier and window tables grow too.
+func (hp *homeProtocol) initRegion(r *Region) {
+	c := hp.c
 	active := c.ActiveHosts()
 	m := c.Master()
 	for p := 0; p < r.NPages; p++ {
-		home := active[hy.rr%len(active)]
-		hy.rr++
+		home := active[hp.rr%len(active)]
+		hp.rr++
 		c.dir.pages[r.ID][p].owner = home
 		hh := c.Host(home)
 		st := &hh.pages[r.ID][p]
@@ -223,29 +260,39 @@ func (hy *hybridProtocol) initRegion(r *Region) {
 			st.valid = true
 		}
 	}
-	hy.recs = append(hy.recs, newClassRecs(r.NPages))
-	hy.chains = append(hy.chains, make([]homeChain, r.NPages))
+	hp.recs = append(hp.recs, newClassRecs(r.NPages))
+	hp.chains = append(hp.chains, make([]homeChain, r.NPages))
 }
 
-// leaveStrategy: migrated homes sit at their writers like Tmk owners,
-// so hybrid honours the configured handoff instead of forcing the
-// round-robin re-home HLRC needs.
-func (hy *hybridProtocol) leaveStrategy(s LeaveStrategy) LeaveStrategy { return s }
+// leaveStrategy: HLRC's leaver pages always re-home round-robin across
+// the remaining hosts. Hybrid's migrated homes sit at their writers
+// like Tmk owners, so it honours the configured handoff instead.
+func (hp *homeProtocol) leaveStrategy(s LeaveStrategy) LeaveStrategy {
+	if !hp.adaptive {
+		return LeaveDirectHandoff
+	}
+	return s
+}
 
 // storageLocked reports the retained-window bytes; past the threshold
 // the barrier triggers a (free) collection that resets the windows.
-func (hy *hybridProtocol) storageLocked() int { return hy.retained }
+// Without retention (HLRC) it stays 0 and the trigger never fires.
+func (hp *homeProtocol) storageLocked() int { return hp.retained }
 
 // elideTwin implements the single-writer elision decision for one
 // first-write fault: the page must be classified single-writer with h
 // as that writer, h must be its home, and no other host may hold a
 // valid copy. Counted, and the caller skips twin creation entirely.
-func (hy *hybridProtocol) elideTwin(h *Host, pk pageKey) bool {
-	cr := hy.rec(pk)
+// HLRC always twins.
+func (hp *homeProtocol) elideTwin(h *Host, pk pageKey) bool {
+	if !hp.adaptive {
+		return false
+	}
+	cr := hp.rec(pk)
 	if cr.class != classSingleWriter || cr.writerA != h.id {
 		return false
 	}
-	c := hy.c
+	c := hp.c
 	if c.dir.meta(pk.region, pk.page).owner != h.id {
 		return false
 	}
@@ -261,22 +308,24 @@ func (hy *hybridProtocol) elideTwin(h *Host, pk pageKey) bool {
 // fault makes the page readable on h: a copy inside the home's
 // retained window pulls just the missing diffs when they are sparse,
 // anything else pulls the whole page from the home.
-func (hy *hybridProtocol) fault(h *Host, pk pageKey, clk *simtime.Clock) {
-	c := hy.c
+func (hp *homeProtocol) fault(h *Host, pk pageKey, clk *simtime.Clock) {
+	c := hp.c
 	meta := c.dir.meta(pk.region, pk.page)
 	home := meta.owner
 	if home == h.id {
-		panic(fmt.Sprintf("dsm: hybrid: home %d of page %d/%d has no valid copy", h.id, pk.region, pk.page))
+		panic(fmt.Sprintf("dsm: %v: home %d of page %d/%d has no valid copy", hp.kind, h.id, pk.region, pk.page))
 	}
-	cr := hy.rec(pk)
-	cr.observeRead(h.id)
-	cr.setClass(&c.stats, cr.classify())
+	if hp.adaptive {
+		cr := hp.rec(pk)
+		cr.observeRead(h.id)
+		cr.setClass(&c.stats, cr.classify())
+	}
 
 	st := &h.pages[pk.region][pk.page]
-	ch := hy.chain(pk)
+	ch := hp.chain(pk)
 	if st.data != nil && st.appliedSeq >= ch.floor {
 		if win, wire := ch.window(st.appliedSeq); len(win) > 0 && wire < page.Size {
-			hy.fetchWindow(h, c.Host(home), win, wire, clk)
+			hp.fetchWindow(h, c.Host(home), win, wire, clk)
 			for _, e := range win {
 				e.diff.Apply(st.data)
 			}
@@ -295,8 +344,8 @@ func (hy *hybridProtocol) fault(h *Host, pk pageKey, clk *simtime.Clock) {
 
 // fetchWindow prices one bundled diff-window transfer from the home:
 // one request, one response carrying every missing diff.
-func (hy *hybridProtocol) fetchWindow(h, src *Host, win []chainEntry, wire int, clk *simtime.Clock) {
-	c := hy.c
+func (hp *homeProtocol) fetchWindow(h, src *Host, win []chainEntry, wire int, clk *simtime.Clock) {
+	c := hp.c
 	c.fabric.Record(h.machine, src.machine, msgHeader)
 	c.fabric.Record(src.machine, h.machine, wire+msgHeader)
 	clk.Advance(c.costs.DiffFetch(h.machine, src.machine, wire))
@@ -307,8 +356,8 @@ func (hy *hybridProtocol) fetchWindow(h, src *Host, win []chainEntry, wire int, 
 // takeDiff diffs the writer's page against its twin and consumes the
 // twin/dirty state, charging diff creation to clk. Returns nil when
 // the page is unchanged.
-func (hy *hybridProtocol) takeDiff(h *Host, pk pageKey, clk *simtime.Clock) *page.Diff {
-	c := hy.c
+func (hp *homeProtocol) takeDiff(h *Host, pk pageKey, clk *simtime.Clock) *page.Diff {
+	c := hp.c
 	st := &h.pages[pk.region][pk.page]
 	d := page.Make(st.twin, st.data)
 	c.releasePage(st.twin)
@@ -322,10 +371,12 @@ func (hy *hybridProtocol) takeDiff(h *Host, pk pageKey, clk *simtime.Clock) *pag
 	return d
 }
 
-// pushDiff ships a taken diff to the home and applies it there (as
-// HLRC does); a writer that is its own home only commits the sequence.
-func (hy *hybridProtocol) pushDiff(h *Host, pk pageKey, home HostID, d *page.Diff, s int32, clk *simtime.Clock) {
-	c := hy.c
+// pushDiff ships a taken diff to the home and applies it there,
+// charging the one-way push to clk and recording the push and the
+// home's ack on the fabric. For a writer that is its own home only the
+// sequence commit remains.
+func (hp *homeProtocol) pushDiff(h *Host, pk pageKey, home HostID, d *page.Diff, s int32, clk *simtime.Clock) {
+	c := hp.c
 	if home != h.id {
 		hh := c.Host(home)
 		wire := d.WireSize()
@@ -334,7 +385,7 @@ func (hy *hybridProtocol) pushDiff(h *Host, pk pageKey, home HostID, d *page.Dif
 		clk.Advance(c.costs.DiffFlush(h.machine, hh.machine, wire))
 		c.stats.HomeFlushes.Add(1)
 		c.stats.HomeFlushBytes.Add(int64(wire))
-		hy.applyAtHome(h.id, hh, pk, d, s)
+		hp.applyAtHome(h.id, hh, pk, d, s)
 	} else {
 		st := &h.pages[pk.region][pk.page]
 		st.appliedSeq = s
@@ -342,21 +393,25 @@ func (hy *hybridProtocol) pushDiff(h *Host, pk pageKey, home HostID, d *page.Dif
 	}
 }
 
-// applyAtHome applies a pushed diff to the home's copy, with the same
-// pre-apply race check as HLRC when the home itself has the page dirty
-// with a twin. An elided home (dirty, no twin) has no diffable
-// evidence — its sole-writer proof already failed if a remote diff
-// arrives — so the check is skipped and the words merge (they are
-// disjoint in a race-free program).
-func (hy *hybridProtocol) applyAtHome(from HostID, hh *Host, pk pageKey, d *page.Diff, s int32) {
+// applyAtHome applies a pushed diff to the home's copy. If the home
+// has the page dirty in its own open interval, the incoming words must
+// be disjoint from the home's own modified words — an overlap is the
+// sub-word race the Tmk paths panic on, and must be caught *before*
+// the apply destroys the evidence — and the diff is applied to the
+// twin as well, so the home's eventual flush carries only its own
+// words. An elided home (dirty, no twin) has no diffable evidence —
+// its sole-writer proof already failed if a remote diff arrives — so
+// the check is skipped and the words merge (they are disjoint in a
+// race-free program).
+func (hp *homeProtocol) applyAtHome(from HostID, hh *Host, pk pageKey, d *page.Diff, s int32) {
 	st := &hh.pages[pk.region][pk.page]
 	if st.data == nil {
-		panic(fmt.Sprintf("dsm: hybrid: home %d of page %d/%d holds no copy", hh.id, pk.region, pk.page))
+		panic(fmt.Sprintf("dsm: %v: home %d of page %d/%d holds no copy", hp.kind, hh.id, pk.region, pk.page))
 	}
 	if st.dirty && st.twin != nil {
 		if own := page.Make(st.twin, st.data); own != nil {
 			if w, ok := d.FirstOverlap(own); ok {
-				panic(hy.c.wordRaceMessage(from, hh.id, pk, w, "without synchronisation"))
+				panic(hp.c.wordRaceMessage(from, hh.id, pk, w, "without synchronisation"))
 			}
 		}
 		d.Apply(st.twin)
@@ -367,28 +422,31 @@ func (hy *hybridProtocol) applyAtHome(from HostID, hh *Host, pk pageKey, d *page
 }
 
 // closePage commits interval s for one page at a barrier (or a forced
-// interval close), observing the writers for the classifier and
-// dispatching to the sole-writer or concurrent-writer path.
-func (hy *hybridProtocol) closePage(pk pageKey, writers []HostID, s int32, active []HostID, flush []simtime.Seconds) {
-	c := hy.c
+// interval close). Hybrid observes the writers for the classifier and
+// takes the sole-writer path for one writer; HLRC commits every close
+// through the concurrent-writer path.
+func (hp *homeProtocol) closePage(pk pageKey, writers []HostID, s int32, active []HostID, flush []simtime.Seconds) {
+	c := hp.c
 	pm := c.dir.metaLocked(pk.region, pk.page)
-	cr := hy.rec(pk)
-	cr.observeClose(writers)
-	cr.setClass(&c.stats, cr.classify())
+	cr := hp.rec(pk)
+	if hp.adaptive {
+		cr.observeClose(writers)
+		cr.setClass(&c.stats, cr.classify())
+	}
 
-	if len(writers) == 1 {
-		hy.closeSole(pk, pm, cr, writers[0], s, active, flush)
+	if hp.adaptive && len(writers) == 1 {
+		hp.closeSole(pk, pm, cr, writers[0], s, active, flush)
 		return
 	}
-	hy.closeMulti(pk, pm, cr, writers, s, active, flush)
+	hp.closeMulti(pk, pm, cr, writers, s, active, flush)
 }
 
 // closeSole commits a close with exactly one writer.
-func (hy *hybridProtocol) closeSole(pk pageKey, pm *pageMeta, cr *classRec, w HostID, s int32, active []HostID, flush []simtime.Seconds) {
-	c := hy.c
+func (hp *homeProtocol) closeSole(pk pageKey, pm *pageMeta, cr *classRec, w HostID, s int32, active []HostID, flush []simtime.Seconds) {
+	c := hp.c
 	h := c.Host(w)
 	st := &h.pages[pk.region][pk.page]
-	ch := hy.chain(pk)
+	ch := hp.chain(pk)
 	home := pm.owner
 	prevLatest := pm.latestSeq()
 
@@ -399,34 +457,34 @@ func (hy *hybridProtocol) closeSole(pk pageKey, pm *pageMeta, cr *classRec, w Ho
 		// the page was elided-dirty: every re-homing path refuses an
 		// elided-dirty home.
 		if home != w {
-			panic(fmt.Sprintf("dsm: hybrid: elided page %d/%d closed by %d but homed at %d", pk.region, pk.page, w, home))
+			panic(fmt.Sprintf("dsm: %v: elided page %d/%d closed by %d but homed at %d", hp.kind, pk.region, pk.page, w, home))
 		}
 		st.dirty = false
 		st.appliedSeq = s
 		c.stats.ElidedDiffs.Add(1)
 		pm.baseSeq = s
-		hy.advance(ch, s)
-		hy.invalidateStale(pk, w, s, active)
+		hp.advance(ch, s)
+		hp.invalidateStale(pk, w, s, active)
 		return
 	}
 
 	wasCurrent := st.appliedSeq >= prevLatest
 	if !wasCurrent {
 		// The writer's copy misses interim commits: push its diff to
-		// the home as HLRC would, then the writer goes invalid.
+		// the home, then the writer goes invalid.
 		clk := simtime.NewClock(0)
-		d := hy.takeDiff(h, pk, clk)
+		d := hp.takeDiff(h, pk, clk)
 		flush[w] += clk.Now()
 		if d == nil {
 			return
 		}
 		clk = simtime.NewClock(0)
-		hy.pushDiff(h, pk, home, d, s, clk)
+		hp.pushDiff(h, pk, home, d, s, clk)
 		flush[w] += clk.Now()
-		hy.retain(ch, s, w, d)
+		hp.retain(ch, s, w, d)
 		pm.baseSeq = s
 		st.valid = false
-		hy.invalidateStale(pk, home, s, active)
+		hp.invalidateStale(pk, home, s, active)
 		return
 	}
 
@@ -436,7 +494,7 @@ func (hy *hybridProtocol) closeSole(pk pageKey, pm *pageMeta, cr *classRec, w Ho
 	// copy must survive an unchanged close). Pages proven single-writer
 	// skip this work through the elided branch above instead.
 	clk := simtime.NewClock(0)
-	d := hy.takeDiff(h, pk, clk)
+	d := hp.takeDiff(h, pk, clk)
 	flush[w] += clk.Now()
 	if d == nil {
 		return
@@ -454,27 +512,28 @@ func (hy *hybridProtocol) closeSole(pk pageKey, pm *pageMeta, cr *classRec, w Ho
 	if home != w && !elidedHome && (ch.onlyWriter(w) || wire >= denseFlipWire) {
 		pm.owner = w
 		home = w
-		hy.keepOnly(ch, w)
+		hp.keepOnly(ch, w)
 		c.stats.HomeMigrations.Add(1)
 	}
 	if home != w {
 		clk := simtime.NewClock(0)
-		hy.pushDiff(h, pk, home, d, s, clk)
+		hp.pushDiff(h, pk, home, d, s, clk)
 		flush[w] += clk.Now()
 	}
-	hy.retain(ch, s, w, d)
+	hp.retain(ch, s, w, d)
 	st.appliedSeq = s
 	pm.baseSeq = s
-	hy.invalidateStale(pk, w, s, active)
+	hp.invalidateStale(pk, w, s, active)
 }
 
-// closeMulti commits a close with concurrent writers: every diff is
-// taken first, word-disjointness is asserted while the evidence is
-// intact, each diff is pushed to (and retained at) the home, and the
-// dominance rule may migrate the home with a paid page transfer.
-func (hy *hybridProtocol) closeMulti(pk pageKey, pm *pageMeta, cr *classRec, writers []HostID, s int32, active []HostID, flush []simtime.Seconds) {
-	c := hy.c
-	ch := hy.chain(pk)
+// closeMulti commits a close with concurrent writers (under HLRC, every
+// close): every diff is taken first, word-disjointness is asserted
+// while the evidence is intact, each diff is pushed to (and, when
+// adaptive, retained at) the home, stale copies are invalidated, and
+// the dominance rule may migrate the home with a paid page transfer.
+func (hp *homeProtocol) closeMulti(pk pageKey, pm *pageMeta, cr *classRec, writers []HostID, s int32, active []HostID, flush []simtime.Seconds) {
+	c := hp.c
+	ch := hp.chain(pk)
 	home := pm.owner
 	prevLatest := pm.latestSeq()
 
@@ -493,7 +552,7 @@ func (hy *hybridProtocol) closeMulti(pk pageKey, pm *pageMeta, cr *classRec, wri
 			continue
 		}
 		clk := simtime.NewClock(0)
-		d := hy.takeDiff(h, pk, clk)
+		d := hp.takeDiff(h, pk, clk)
 		flush[w] += clk.Now()
 		if d != nil {
 			made = append(made, writerDiff{writer: w, diff: d})
@@ -506,7 +565,7 @@ func (hy *hybridProtocol) closeMulti(pk pageKey, pm *pageMeta, cr *classRec, wri
 	for _, wd := range made {
 		h := c.Host(wd.writer)
 		clk := simtime.NewClock(0)
-		hy.pushDiff(h, pk, home, wd.diff, s, clk)
+		hp.pushDiff(h, pk, home, wd.diff, s, clk)
 		flush[wd.writer] += clk.Now()
 	}
 	if elided {
@@ -517,14 +576,17 @@ func (hy *hybridProtocol) closeMulti(pk pageKey, pm *pageMeta, cr *classRec, wri
 			st.appliedSeq = s
 			st.valid = true
 		}
-		hy.advance(ch, s)
-	} else {
+		hp.advance(ch, s)
+	} else if hp.adaptive {
 		for _, wd := range made {
-			hy.retain(ch, s, wd.writer, wd.diff)
+			hp.retain(ch, s, wd.writer, wd.diff)
 		}
 	}
 	pm.baseSeq = s
 
+	// A sole writer whose pre-write copy was current is itself current
+	// (its copy equals the home's); every other non-home copy now lacks
+	// words and goes invalid.
 	sole := HostID(-1)
 	if !elided && len(made) == 1 {
 		h := c.Host(made[0].writer)
@@ -550,7 +612,8 @@ func (hy *hybridProtocol) closeMulti(pk pageKey, pm *pageMeta, cr *classRec, wri
 
 	// Dominant-writer migration: a falsely-shared page whose last
 	// domMigrateRun closes all include one writer re-homes to it, the
-	// old home shipping the merged page across the actual link.
+	// old home shipping the merged page across the actual link. Only
+	// the adaptive classifier ever tags a page falsely shared.
 	dom := cr.domWriter
 	if cr.class == classFalselyShared && cr.domRun >= domMigrateRun &&
 		dom != pm.owner && c.Host(dom).active {
@@ -563,7 +626,7 @@ func (hy *hybridProtocol) closeMulti(pk pageKey, pm *pageMeta, cr *classRec, wri
 		dst.appliedSeq = applied
 		dst.valid = true
 		pm.owner = dom
-		hy.keepOnly(ch, dom)
+		hp.keepOnly(ch, dom)
 		c.stats.HomeMigrations.Add(1)
 		c.stats.HomeMigrationBytes.Add(page.Size)
 	}
@@ -572,8 +635,8 @@ func (hy *hybridProtocol) closeMulti(pk pageKey, pm *pageMeta, cr *classRec, wri
 // invalidateStale invalidates every active copy other than keep's that
 // misses interval s. keep (the current sole writer or home) advances
 // to s instead.
-func (hy *hybridProtocol) invalidateStale(pk pageKey, keep HostID, s int32, active []HostID) {
-	c := hy.c
+func (hp *homeProtocol) invalidateStale(pk pageKey, keep HostID, s int32, active []HostID) {
+	c := hp.c
 	for _, id := range active {
 		h := c.Host(id)
 		st := &h.pages[pk.region][pk.page]
@@ -589,23 +652,27 @@ func (hy *hybridProtocol) invalidateStale(pk pageKey, keep HostID, s int32, acti
 	}
 }
 
-// flushIntervalLocked commits h's open interval on a release path. A
-// dense diff from a current writer flips the home to the writer (and
-// is retained there for nothing); a sparse diff is pushed to the home
-// as HLRC would and retained in its window. The caller holds the
+// flushIntervalLocked commits h's open interval on a release path:
+// each written page's diff is pushed to its home, the page goes on the
+// release log so later acquirers honour the writes, and concurrent
+// dirty peers are checked for sub-word races. When adaptive, a dense
+// diff from a current writer first flips the home to the writer, and
+// every diff is retained in the home's window. The caller holds the
 // directory write lock.
-func (hy *hybridProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
-	c := hy.c
+func (hp *homeProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
+	c := hp.c
 	c.seq++
 	s := c.seq
 	made := 0
 	soleWriters := [1]HostID{h.id}
 	for _, pk := range h.takeWritten() {
 		pm := c.dir.metaLocked(pk.region, pk.page)
-		cr := hy.rec(pk)
-		cr.observeClose(soleWriters[:])
-		cr.setClass(&c.stats, cr.classify())
-		ch := hy.chain(pk)
+		if hp.adaptive {
+			cr := hp.rec(pk)
+			cr.observeClose(soleWriters[:])
+			cr.setClass(&c.stats, cr.classify())
+		}
+		ch := hp.chain(pk)
 		prevLatest := pm.latestSeq()
 		st := &h.pages[pk.region][pk.page]
 
@@ -615,26 +682,28 @@ func (hy *hybridProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
 			st.appliedSeq = s
 			c.stats.ElidedDiffs.Add(1)
 			pm.baseSeq = s
-			hy.advance(ch, s)
+			hp.advance(ch, s)
 			c.releaseLog = append(c.releaseLog, relEntry{pk: pk, seq: s})
 			continue
 		}
 
 		wasCurrent := st.appliedSeq >= prevLatest
-		d := hy.takeDiff(h, pk, clk)
+		d := hp.takeDiff(h, pk, clk)
 		if d == nil {
 			continue
 		}
 		wire := d.WireSize()
 		homeSt := &c.Host(pm.owner).pages[pk.region][pk.page]
 		elidedHome := homeSt.dirty && homeSt.twin == nil
-		if wasCurrent && pm.owner != h.id && !elidedHome && (ch.onlyWriter(h.id) || wire >= denseFlipWire) {
+		if hp.adaptive && wasCurrent && pm.owner != h.id && !elidedHome && (ch.onlyWriter(h.id) || wire >= denseFlipWire) {
 			pm.owner = h.id
-			hy.keepOnly(ch, h.id)
+			hp.keepOnly(ch, h.id)
 			c.stats.HomeMigrations.Add(1)
 		}
-		hy.pushDiff(h, pk, pm.owner, d, s, clk)
-		hy.retain(ch, s, h.id, d)
+		hp.pushDiff(h, pk, pm.owner, d, s, clk)
+		if hp.adaptive {
+			hp.retain(ch, s, h.id, d)
+		}
 		if pm.owner != h.id {
 			st := &h.pages[pk.region][pk.page]
 			if wasCurrent {
@@ -655,12 +724,15 @@ func (hy *hybridProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
 }
 
 // upgradeOrInvalidate performs acquire-side consistency for one page:
-// a stale clean copy goes invalid; a stale dirty copy inside the
-// home's window is patched in place (diffs applied to data and twin,
-// as the Tmk upgrade path does), otherwise it is merged over a fresh
-// home page exactly as HLRC does.
-func (hy *hybridProtocol) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Clock) {
-	c := hy.c
+// a stale clean copy goes invalid (the next fault pulls the page from
+// the home); a stale dirty copy inside the home's window is patched in
+// place (diffs applied to data and twin, as the Tmk upgrade path
+// does), otherwise it is merged over a fresh home page — the home's
+// current page is fetched, becomes the new twin, and the host's own
+// modified words are overlaid (disjoint from the committed words in a
+// race-free program).
+func (hp *homeProtocol) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Clock) {
+	c := hp.c
 	meta := c.dir.meta(pk.region, pk.page)
 	latest := meta.latestSeq()
 	st := &h.pages[pk.region][pk.page]
@@ -671,10 +743,10 @@ func (hy *hybridProtocol) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.
 		st.valid = false
 		return
 	}
-	ch := hy.chain(pk)
+	ch := hp.chain(pk)
 	if st.appliedSeq >= ch.floor {
 		if win, wire := ch.window(st.appliedSeq); len(win) > 0 && wire < page.Size {
-			hy.fetchWindow(h, c.Host(meta.owner), win, wire, clk)
+			hp.fetchWindow(h, c.Host(meta.owner), win, wire, clk)
 			for _, e := range win {
 				e.diff.Apply(st.data)
 				if st.twin != nil {
@@ -701,13 +773,15 @@ func (hy *hybridProtocol) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.
 	st.appliedSeq = applied
 }
 
-// runGCLocked prunes stale copies and normalises sequence numbers as
-// HLRC's trivial collection does (homes are always current, so no data
-// moves and no time is charged), and additionally resets the retained
-// windows and the classifier: an adaptation redraws the partition map,
-// so the old sharing history no longer describes the pages it tagged.
-func (hy *hybridProtocol) runGCLocked(active []HostID) simtime.Seconds {
-	c := hy.c
+// runGCLocked is trivial: homes are always current, so the pass only
+// prunes stale copies and normalises sequence numbers to restore the
+// adaptation invariant (owner valid and current, every other copy
+// valid-and-current or absent). No data moves and no time or traffic
+// is charged. It also resets the retained windows and the classifier:
+// an adaptation redraws the partition map, so the old sharing history
+// no longer describes the pages it tagged.
+func (hp *homeProtocol) runGCLocked(active []HostID) simtime.Seconds {
+	c := hp.c
 	gcSeq := c.seq
 	c.stats.GCs.Add(1)
 	for ri := range c.dir.pages {
@@ -723,7 +797,7 @@ func (hy *hybridProtocol) runGCLocked(active []HostID) simtime.Seconds {
 				switch {
 				case h.id == pm.owner:
 					if st.data == nil {
-						panic(fmt.Sprintf("dsm: hybrid: gc: home %d of page %d/%d holds no copy", pm.owner, r, p))
+						panic(fmt.Sprintf("dsm: %v: gc: home %d of page %d/%d holds no copy", hp.kind, pm.owner, r, p))
 					}
 					st.appliedSeq = gcSeq
 				case st.valid && st.appliedSeq >= latest:
@@ -737,12 +811,12 @@ func (hy *hybridProtocol) runGCLocked(active []HostID) simtime.Seconds {
 			}
 			pm.clearNotices()
 			pm.baseSeq = gcSeq
-			ch := &hy.chains[ri][p]
-			hy.retained -= ch.bytes
+			ch := &hp.chains[ri][p]
+			hp.retained -= ch.bytes
 			ch.entries = nil
 			ch.bytes = 0
 			ch.floor = gcSeq
-			hy.recs[ri][p].reset(&c.stats)
+			hp.recs[ri][p].reset(&c.stats)
 		}
 	}
 	c.releaseLog = c.releaseLog[:0]

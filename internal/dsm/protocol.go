@@ -25,13 +25,14 @@ const (
 	// adaptation points when its home leaves), writers push their
 	// diffs to the home eagerly when an interval closes, faults pull
 	// the whole page from the home, and garbage collection is trivial
-	// because no diff ever outlives its interval close.
+	// because no diff ever outlives its interval close. It is the
+	// home-based protocol (home.go) with its adaptive mechanisms off.
 	HLRC
-	// Hybrid is the adaptive per-page protocol: an HLRC-style
-	// home-based baseline whose per-page classifier (classify.go)
-	// migrates homes to dominant writers, switches diff-vs-whole-page
-	// transfer on measured diff density, and elides twin/diff work for
-	// proven single-writer pages (hybrid.go).
+	// Hybrid is the home-based protocol (home.go) with its adaptive
+	// mechanisms on: a per-page classifier (classify.go) migrates homes
+	// to dominant writers, switches diff-vs-whole-page transfer on
+	// measured diff density, and elides twin/diff work for proven
+	// single-writer pages.
 	Hybrid
 )
 
@@ -71,9 +72,10 @@ func ParseProtocol(s string) (ProtocolKind, error) {
 // and dispatches the protocol-specific steps through this interface.
 //
 // The interface is deliberately implementation-gated (unexported
-// methods): the two implementations live in this package (tmk.go,
-// hlrc.go) and share the Cluster's internals. The contract each must
-// honour:
+// methods): the two implementations live in this package — the
+// homeless tmkProtocol (tmk.go) and the home-based homeProtocol
+// (home.go), which serves both HLRC and Hybrid — and share the
+// Cluster's internals. The contract each must honour:
 //
 //   - fault makes h's copy of the page readable and current as of the
 //     page's latest committed interval, charging the requester.
@@ -112,7 +114,7 @@ type Protocol interface {
 	leaveStrategy(s LeaveStrategy) LeaveStrategy
 	// elideTwin lets the protocol skip twin creation for a first write:
 	// the page stays dirty with a nil twin and the protocol commits it
-	// without a diff. Tmk and HLRC never elide; hybrid does for proven
+	// without a diff. Tmk and HLRC never elide; Hybrid does for proven
 	// single-writer pages.
 	elideTwin(h *Host, pk pageKey) bool
 }
@@ -122,10 +124,8 @@ func newProtocol(k ProtocolKind, c *Cluster) (Protocol, error) {
 	switch k {
 	case Tmk:
 		return &tmkProtocol{c: c}, nil
-	case HLRC:
-		return &hlrcProtocol{c: c}, nil
-	case Hybrid:
-		return &hybridProtocol{c: c}, nil
+	case HLRC, Hybrid:
+		return newHomeProtocol(c, k), nil
 	}
 	return nil, fmt.Errorf("dsm: unknown protocol kind %d", int(k))
 }
@@ -133,7 +133,7 @@ func newProtocol(k ProtocolKind, c *Cluster) (Protocol, error) {
 // Protocol returns the cluster's coherence protocol kind.
 func (c *Cluster) Protocol() ProtocolKind { return c.proto.Kind() }
 
-// copyPageFrom is the whole-page transfer both protocols price the
+// copyPageFrom is the whole-page transfer every protocol prices the
 // same way: src's copy of the page is duplicated for h, the request
 // and payload are recorded on the fabric, the requester-observed
 // fetch cost is charged to clk, and the page-fetch counters advance.
