@@ -143,7 +143,7 @@ func TestSimultaneousEventsShareOneGC(t *testing.T) {
 	if err := m.Submit(Event{Kind: KindLeave, Host: 5, At: 0.6}); err != nil {
 		t.Fatal(err)
 	}
-	gcs0 := c.Stats().GCs.Load()
+	gcs0 := c.Stats().GCs
 	res, err := m.AtAdaptationPoint(c, team(6), 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestSimultaneousEventsShareOneGC(t *testing.T) {
 	if len(res.Applied) != 2 {
 		t.Fatalf("applied %d events, want 2", len(res.Applied))
 	}
-	if got := c.Stats().GCs.Load() - gcs0; got != 1 {
+	if got := c.Stats().GCs - gcs0; got != 1 {
 		t.Fatalf("GCs = %d, want 1 shared collection", got)
 	}
 	if !reflect.DeepEqual(res.Team, team(4)) {

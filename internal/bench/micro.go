@@ -184,7 +184,7 @@ func simultaneousVsSuccessive(opt Options) (SimulResult, error) {
 		}
 		nbar := avgTeamSize(rt, 8, res.Time)
 		ref := refPiecewise(nbar, base)
-		return res.Time - ref, int(rt.Cluster().Stats().GCs.Load()), nil
+		return res.Time - ref, int(rt.Cluster().Stats().GCs), nil
 	}
 	together, gcT, err := run(map[int64][]int{8: {7, 6}})
 	if err != nil {

@@ -135,8 +135,8 @@ func (c *Cluster) handoffPage(r RegionID, p int, pm *pageMeta, leaver, dest Host
 
 	c.fabric.Record(d.machine, src.machine, msgHeader)
 	c.fabric.Record(src.machine, d.machine, page.Size+msgHeader)
-	c.stats.PageFetches.Add(1)
-	c.stats.PageBytes.Add(page.Size)
+	c.stats.PageFetches++
+	c.stats.PageBytes += page.Size
 
 	c.releasePage(dst.data)
 	dst.data = c.pagePool.Copy(sst.data)

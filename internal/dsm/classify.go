@@ -179,7 +179,7 @@ func (cr *classRec) classify() pageClass {
 
 // censusCounter returns the Stats census counter for a class, or nil
 // for classUnknown (unclassified pages are not counted).
-func censusCounter(s *Stats, pc pageClass) *Counter {
+func censusCounter(s *Stats, pc pageClass) *int64 {
 	switch pc {
 	case classSingleWriter:
 		return &s.PagesSingleWriter
@@ -200,10 +200,10 @@ func (cr *classRec) setClass(s *Stats, pc pageClass) {
 		return
 	}
 	if c := censusCounter(s, cr.class); c != nil {
-		c.Add(-1)
+		*c--
 	}
 	if c := censusCounter(s, pc); c != nil {
-		c.Add(1)
+		*c++
 	}
 	cr.class = pc
 }

@@ -119,7 +119,7 @@ func TestSingleWriterOwnershipMoves(t *testing.T) {
 	if got := getU64(c, 2, r.ID, 0, clocks[2]); got != 7 {
 		t.Fatalf("host 2 read %d, want 7", got)
 	}
-	if n := c.Stats().DiffsCreated.Load(); n != 0 {
+	if n := c.Stats().DiffsCreated; n != 0 {
 		t.Fatalf("single-writer run created %d diffs, want 0", n)
 	}
 }
@@ -136,7 +136,7 @@ func TestMultiWriterConflictMergesDiffs(t *testing.T) {
 	if got := c.PageMode(r.ID, 0); got != ModeMulti {
 		t.Fatalf("mode = %v, want multi after concurrent writers", got)
 	}
-	if n := c.Stats().DiffsCreated.Load(); n != 2 {
+	if n := c.Stats().DiffsCreated; n != 2 {
 		t.Fatalf("DiffsCreated = %d, want 2", n)
 	}
 	// A third host sees the merged page.
@@ -235,7 +235,7 @@ func TestGCResetsConsistencyState(t *testing.T) {
 	if elapsed <= 0 {
 		t.Fatalf("GC elapsed = %v, want > 0", elapsed)
 	}
-	if got := c.Stats().GCs.Load(); got != 1 {
+	if got := c.Stats().GCs; got != 1 {
 		t.Fatalf("GCs = %d, want 1", got)
 	}
 	// Post-GC invariants: modes reset, owner current, reads correct.

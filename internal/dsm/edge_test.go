@@ -20,11 +20,11 @@ func TestWriteUnchangedValueCreatesNoDiff(t *testing.T) {
 	barrier(c, clocks)
 	getU64(c, 0, r.ID, 8, clocks[0]) // host 0 becomes current
 
-	created := c.Stats().DiffsCreated.Load()
+	created := c.Stats().DiffsCreated
 	// Rewrite the same value: twin made, no diff at the barrier.
 	putU64(c, 0, r.ID, 0, 5, clocks[0])
 	barrier(c, clocks)
-	if got := c.Stats().DiffsCreated.Load() - created; got != 0 {
+	if got := c.Stats().DiffsCreated - created; got != 0 {
 		t.Fatalf("unchanged write created %d diffs, want 0", got)
 	}
 }

@@ -301,7 +301,7 @@ func (hp *homeProtocol) elideTwin(h *Host, pk pageKey) bool {
 			return false
 		}
 	}
-	c.stats.ElidedTwins.Add(1)
+	c.stats.ElidedTwins++
 	return true
 }
 
@@ -349,8 +349,8 @@ func (hp *homeProtocol) fetchWindow(h, src *Host, win []chainEntry, wire int, cl
 	c.fabric.Record(h.machine, src.machine, msgHeader)
 	c.fabric.Record(src.machine, h.machine, wire+msgHeader)
 	clk.Advance(c.costs.DiffFetch(h.machine, src.machine, wire))
-	c.stats.DiffFetches.Add(int64(len(win)))
-	c.stats.DiffBytes.Add(int64(wire))
+	c.stats.DiffFetches += int64(len(win))
+	c.stats.DiffBytes += int64(wire)
 }
 
 // takeDiff diffs the writer's page against its twin and consumes the
@@ -366,7 +366,7 @@ func (hp *homeProtocol) takeDiff(h *Host, pk pageKey, clk *simtime.Clock) *page.
 	if d == nil {
 		return nil
 	}
-	c.stats.DiffsCreated.Add(1)
+	c.stats.DiffsCreated++
 	clk.Advance(c.costs.DiffCreate(h.machine, page.Size))
 	return d
 }
@@ -383,8 +383,8 @@ func (hp *homeProtocol) pushDiff(h *Host, pk pageKey, home HostID, d *page.Diff,
 		c.fabric.Record(h.machine, hh.machine, wire+msgHeader)
 		c.fabric.Record(hh.machine, h.machine, msgHeader)
 		clk.Advance(c.costs.DiffFlush(h.machine, hh.machine, wire))
-		c.stats.HomeFlushes.Add(1)
-		c.stats.HomeFlushBytes.Add(int64(wire))
+		c.stats.HomeFlushes++
+		c.stats.HomeFlushBytes += int64(wire)
 		hp.applyAtHome(h.id, hh, pk, d, s)
 	} else {
 		st := &h.pages[pk.region][pk.page]
@@ -461,7 +461,7 @@ func (hp *homeProtocol) closeSole(pk pageKey, pm *pageMeta, cr *classRec, w Host
 		}
 		st.dirty = false
 		st.appliedSeq = s
-		c.stats.ElidedDiffs.Add(1)
+		c.stats.ElidedDiffs++
 		pm.baseSeq = s
 		hp.advance(ch, s)
 		hp.invalidateStale(pk, w, s, active)
@@ -513,7 +513,7 @@ func (hp *homeProtocol) closeSole(pk pageKey, pm *pageMeta, cr *classRec, w Host
 		pm.owner = w
 		home = w
 		hp.keepOnly(ch, w)
-		c.stats.HomeMigrations.Add(1)
+		c.stats.HomeMigrations++
 	}
 	if home != w {
 		clk := simtime.NewClock(0)
@@ -547,7 +547,7 @@ func (hp *homeProtocol) closeMulti(pk pageKey, pm *pageMeta, cr *classRec, write
 			// are already in its own (the home's) copy; no evidence
 			// diff exists.
 			st.dirty = false
-			c.stats.ElidedDiffs.Add(1)
+			c.stats.ElidedDiffs++
 			elided = true
 			continue
 		}
@@ -627,8 +627,8 @@ func (hp *homeProtocol) closeMulti(pk pageKey, pm *pageMeta, cr *classRec, write
 		dst.valid = true
 		pm.owner = dom
 		hp.keepOnly(ch, dom)
-		c.stats.HomeMigrations.Add(1)
-		c.stats.HomeMigrationBytes.Add(page.Size)
+		c.stats.HomeMigrations++
+		c.stats.HomeMigrationBytes += page.Size
 	}
 }
 
@@ -680,7 +680,7 @@ func (hp *homeProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
 			// Elided page flushed under a lock: commit conservatively.
 			st.dirty = false
 			st.appliedSeq = s
-			c.stats.ElidedDiffs.Add(1)
+			c.stats.ElidedDiffs++
 			pm.baseSeq = s
 			hp.advance(ch, s)
 			c.releaseLog = append(c.releaseLog, relEntry{pk: pk, seq: s})
@@ -698,7 +698,7 @@ func (hp *homeProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
 		if hp.adaptive && wasCurrent && pm.owner != h.id && !elidedHome && (ch.onlyWriter(h.id) || wire >= denseFlipWire) {
 			pm.owner = h.id
 			hp.keepOnly(ch, h.id)
-			c.stats.HomeMigrations.Add(1)
+			c.stats.HomeMigrations++
 		}
 		hp.pushDiff(h, pk, pm.owner, d, s, clk)
 		if hp.adaptive {
@@ -783,7 +783,7 @@ func (hp *homeProtocol) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Cl
 func (hp *homeProtocol) runGCLocked(active []HostID) simtime.Seconds {
 	c := hp.c
 	gcSeq := c.seq
-	c.stats.GCs.Add(1)
+	c.stats.GCs++
 	for ri := range c.dir.pages {
 		r := RegionID(ri)
 		for p := range c.dir.pages[ri] {

@@ -262,7 +262,7 @@ func (h *Host) ensureRead(r RegionID, p int, clk *simtime.Clock) {
 	if valid {
 		return
 	}
-	h.cluster.stats.ReadFaults.Add(1)
+	h.cluster.stats.ReadFaults++
 	h.cluster.proto.fault(h, pageKey{r, p}, clk)
 }
 
@@ -280,15 +280,15 @@ func (h *Host) ensureWrite(r RegionID, p int, clk *simtime.Clock) {
 			// and the twin-copy cost vanishes.
 			st.dirty = true
 			h.written = append(h.written, pageKey{r, p})
-			h.cluster.stats.WriteFaults.Add(1)
+			h.cluster.stats.WriteFaults++
 			return
 		}
 		st.twin = h.cluster.pagePool.Copy(st.data)
 		st.dirty = true
 		h.written = append(h.written, pageKey{r, p})
 		clk.Advance(h.cluster.costs.Twin(h.machine))
-		h.cluster.stats.TwinsCreated.Add(1)
-		h.cluster.stats.WriteFaults.Add(1)
+		h.cluster.stats.TwinsCreated++
+		h.cluster.stats.WriteFaults++
 	}
 }
 

@@ -44,7 +44,7 @@ func (c *Cluster) Barrier(active []HostID, arrivals []simtime.Seconds) BarrierRe
 
 	c.seq++
 	s := c.seq
-	c.stats.Barriers.Add(1)
+	c.stats.Barriers++
 
 	var release simtime.Seconds
 	for _, t := range arrivals {

@@ -152,7 +152,7 @@ func (c *Cluster) AcquireLock(id int, h *Host, clk *simtime.Clock) {
 		holderMachine = c.Host(lk.lastHolder).machine
 	}
 	clk.Advance(c.costs.Lock(h.machine, manager.machine, holderMachine, forwarded))
-	c.stats.LockAcquires.Add(1)
+	c.stats.LockAcquires++
 
 	// Request to the manager; grant from manager or forwarded holder.
 	c.fabric.Record(h.machine, manager.machine, msgHeader)

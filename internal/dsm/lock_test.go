@@ -96,7 +96,7 @@ func TestLockMutualExclusion(t *testing.T) {
 	if got != 4*perHost {
 		t.Fatalf("counter = %d, want %d", got, 4*perHost)
 	}
-	if n := c.Stats().LockAcquires.Load(); n != 4*perHost+1 {
+	if n := c.Stats().LockAcquires; n != 4*perHost+1 {
 		t.Fatalf("LockAcquires = %d, want %d", n, 4*perHost+1)
 	}
 }

@@ -150,7 +150,7 @@ func (c *Cluster) copyPageFrom(h, src *Host, pk pageKey, role string, clk *simti
 	c.fabric.Record(h.machine, src.machine, msgHeader)
 	c.fabric.Record(src.machine, h.machine, page.Size+msgHeader)
 	clk.Advance(c.costs.PageFetch(h.machine, src.machine, page.Size))
-	c.stats.PageFetches.Add(1)
-	c.stats.PageBytes.Add(page.Size)
+	c.stats.PageFetches++
+	c.stats.PageBytes += page.Size
 	return data, applied
 }

@@ -1,119 +1,62 @@
 package dsm
 
-// Counter is a cluster-event counter. It keeps the Add/Load method
-// shape of atomic.Int64 but increments are plain stores: the engine
+// Stats counts DSM protocol events. All counters are cumulative for the
+// lifetime of the cluster; use Snapshot and Sub to measure windows
+// (for example, the cost attributable to one adaptation). Byte and
+// message totals live on the network fabric; these counters track
+// protocol objects, matching the columns of Table 1.
+//
+// Counters are plain int64 and increments are plain stores: the engine
 // runs exactly one process of a cluster at a time and every process
 // switch is a channel handoff (a happens-before edge), so counters are
 // never touched concurrently. Fault-path increments sit right after
 // 4 KB twin/fetch copies, where an atomic's store-buffer drain costs
 // more than the bookkeeping itself at full scale.
-type Counter int64
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { *c += Counter(n) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return int64(*c) }
-
-// Stats counts DSM protocol events. All counters are cumulative for the
-// lifetime of the cluster; use Snapshot and Delta to measure windows
-// (for example, the cost attributable to one adaptation). Byte and
-// message totals live on the network fabric; these counters track
-// protocol objects, matching the columns of Table 1.
 type Stats struct {
-	PageFetches  Counter // full 4 KB page transfers
-	PageBytes    Counter // payload bytes of page transfers
-	DiffFetches  Counter // diff objects fetched (Table 1 "Diffs")
-	DiffBytes    Counter // payload bytes of diff transfers
-	DiffsCreated Counter // diffs made at interval close
-	TwinsCreated Counter // twins made at first write
+	PageFetches  int64 // full 4 KB page transfers
+	PageBytes    int64 // payload bytes of page transfers
+	DiffFetches  int64 // diff objects fetched (Table 1 "Diffs")
+	DiffBytes    int64 // payload bytes of diff transfers
+	DiffsCreated int64 // diffs made at interval close
+	TwinsCreated int64 // twins made at first write
 	// HomeFlushes/HomeFlushBytes count diffs pushed to page homes at
-	// interval close, the HLRC analogue of diff fetches (always zero
-	// under Tmk).
-	HomeFlushes    Counter
-	HomeFlushBytes Counter
-	Barriers       Counter
-	LockAcquires   Counter
-	GCs            Counter
-	ReadFaults     Counter // page-granularity access misses
-	WriteFaults    Counter // first writes (twin events)
-	// Hybrid-protocol classification census: how many pages the
-	// classifier currently tags with each sharing pattern (a page moves
-	// between buckets as its access history evolves; unknown pages are
-	// in no bucket). Always zero under Tmk and HLRC.
-	PagesSingleWriter     Counter
-	PagesProducerConsumer Counter
-	PagesMigratory        Counter
-	PagesFalselyShared    Counter
-	// HomeMigrations counts hybrid home moves: free flips at a
-	// sole-writer close plus priced dominant-writer migrations, whose
-	// transferred bytes accumulate in HomeMigrationBytes.
-	HomeMigrations     Counter
-	HomeMigrationBytes Counter
-	// ElidedTwins/ElidedDiffs count the twin copies and diff objects the
-	// hybrid protocol skipped for proven single-writer pages.
-	ElidedTwins Counter
-	ElidedDiffs Counter
-}
-
-// StatsSnapshot is an immutable copy of the counters.
-type StatsSnapshot struct {
-	PageFetches  int64
-	PageBytes    int64
-	DiffFetches  int64
-	DiffBytes    int64
-	DiffsCreated int64
-	TwinsCreated int64
-	// HomeFlushes/HomeFlushBytes are the HLRC home-push counters.
+	// interval close, the home-based analogue of diff fetches (always
+	// zero under Tmk).
 	HomeFlushes    int64
 	HomeFlushBytes int64
 	Barriers       int64
 	LockAcquires   int64
 	GCs            int64
-	ReadFaults     int64
-	WriteFaults    int64
-	// Hybrid classification census and adaptation counters.
+	ReadFaults     int64 // page-granularity access misses
+	WriteFaults    int64 // first writes (twin events)
+	// Hybrid-protocol classification census: how many pages the
+	// classifier currently tags with each sharing pattern (a page moves
+	// between buckets as its access history evolves; unknown pages are
+	// in no bucket). Always zero under Tmk and HLRC.
 	PagesSingleWriter     int64
 	PagesProducerConsumer int64
 	PagesMigratory        int64
 	PagesFalselyShared    int64
-	HomeMigrations        int64
-	HomeMigrationBytes    int64
-	ElidedTwins           int64
-	ElidedDiffs           int64
+	// HomeMigrations counts hybrid home moves: free flips at a
+	// sole-writer close plus priced dominant-writer migrations, whose
+	// transferred bytes accumulate in HomeMigrationBytes.
+	HomeMigrations     int64
+	HomeMigrationBytes int64
+	// ElidedTwins/ElidedDiffs count the twin copies and diff objects the
+	// hybrid protocol skipped for proven single-writer pages.
+	ElidedTwins int64
+	ElidedDiffs int64
 }
+
+// StatsSnapshot is a copy of the counters taken by Snapshot.
+type StatsSnapshot = Stats
 
 // Snapshot captures the current counter values.
-func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		PageFetches:    s.PageFetches.Load(),
-		PageBytes:      s.PageBytes.Load(),
-		DiffFetches:    s.DiffFetches.Load(),
-		DiffBytes:      s.DiffBytes.Load(),
-		DiffsCreated:   s.DiffsCreated.Load(),
-		TwinsCreated:   s.TwinsCreated.Load(),
-		HomeFlushes:    s.HomeFlushes.Load(),
-		HomeFlushBytes: s.HomeFlushBytes.Load(),
-		Barriers:       s.Barriers.Load(),
-		LockAcquires:   s.LockAcquires.Load(),
-		GCs:            s.GCs.Load(),
-		ReadFaults:     s.ReadFaults.Load(),
-		WriteFaults:    s.WriteFaults.Load(),
-
-		PagesSingleWriter:     s.PagesSingleWriter.Load(),
-		PagesProducerConsumer: s.PagesProducerConsumer.Load(),
-		PagesMigratory:        s.PagesMigratory.Load(),
-		PagesFalselyShared:    s.PagesFalselyShared.Load(),
-		HomeMigrations:        s.HomeMigrations.Load(),
-		HomeMigrationBytes:    s.HomeMigrationBytes.Load(),
-		ElidedTwins:           s.ElidedTwins.Load(),
-		ElidedDiffs:           s.ElidedDiffs.Load(),
-	}
-}
+func (s *Stats) Snapshot() StatsSnapshot { return *s }
 
 // Sub returns the difference between this snapshot and an earlier one.
-func (s StatsSnapshot) Sub(earlier StatsSnapshot) StatsSnapshot {
-	return StatsSnapshot{
+func (s Stats) Sub(earlier Stats) Stats {
+	return Stats{
 		PageFetches:    s.PageFetches - earlier.PageFetches,
 		PageBytes:      s.PageBytes - earlier.PageBytes,
 		DiffFetches:    s.DiffFetches - earlier.DiffFetches,

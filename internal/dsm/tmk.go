@@ -147,8 +147,8 @@ func (t *tmkProtocol) fetchDiffs(h *Host, pk pageKey, w HostID, after, upTo int3
 	c.fabric.Record(h.machine, src.machine, msgHeader)
 	c.fabric.Record(src.machine, h.machine, wire+msgHeader)
 	clk.Advance(c.costs.DiffFetch(h.machine, src.machine, wire))
-	c.stats.DiffFetches.Add(int64(len(got)))
-	c.stats.DiffBytes.Add(int64(wire))
+	c.stats.DiffFetches += int64(len(got))
+	c.stats.DiffBytes += int64(wire)
 	return got
 }
 
@@ -179,7 +179,7 @@ func (t *tmkProtocol) closePage(pk pageKey, writers []HostID, s int32, active []
 			if d != nil {
 				h.diffs[pk] = append(h.diffs[pk], seqDiff{seq: s, diff: d})
 				h.diffBytes += d.WireSize()
-				c.stats.DiffsCreated.Add(1)
+				c.stats.DiffsCreated++
 				pm.addNotice(w, s)
 				flush[w] += c.costs.DiffCreate(h.machine, page.Size)
 				made = append(made, writerDiff{writer: w, diff: d})
@@ -270,7 +270,7 @@ func (t *tmkProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
 		if d != nil {
 			h.diffs[pk] = append(h.diffs[pk], seqDiff{seq: s, diff: d})
 			h.diffBytes += d.WireSize()
-			c.stats.DiffsCreated.Add(1)
+			c.stats.DiffsCreated++
 			pm.addNotice(h.id, s)
 			c.releaseLog = append(c.releaseLog, relEntry{pk: pk, seq: s})
 			if st.appliedSeq >= prevLatest {
@@ -350,7 +350,7 @@ func (t *tmkProtocol) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Cloc
 func (t *tmkProtocol) runGCLocked(active []HostID) simtime.Seconds {
 	c := t.c
 	gcSeq := c.seq
-	c.stats.GCs.Add(1)
+	c.stats.GCs++
 
 	pull := make(map[HostID]simtime.Seconds)
 	totalPages := 0
@@ -459,8 +459,8 @@ func (t *tmkProtocol) gcPage(r RegionID, p int, pm *pageMeta, pull map[HostID]si
 		c.fabric.Record(owner.machine, src.machine, msgHeader)
 		c.fabric.Record(src.machine, owner.machine, wire+msgHeader)
 		pull[pm.owner] += c.costs.DiffFetch(owner.machine, src.machine, wire)
-		c.stats.DiffFetches.Add(1)
-		c.stats.DiffBytes.Add(int64(wire))
+		c.stats.DiffFetches++
+		c.stats.DiffBytes += int64(wire)
 	}
 	sort.Slice(pending, func(i, j int) bool { return pending[i].seq < pending[j].seq })
 

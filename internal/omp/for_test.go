@@ -156,7 +156,7 @@ func TestForGuidedCoversDisjointly(t *testing.T) {
 	if width := last[1] - last[0]; width > 8 {
 		t.Fatalf("final guided chunk = %d iterations, want <= the minimum 8", width)
 	}
-	if rt.Cluster().Stats().LockAcquires.Load() == 0 {
+	if rt.Cluster().Stats().LockAcquires == 0 {
 		t.Fatal("guided schedule must go through the Tmk lock")
 	}
 }

@@ -151,7 +151,7 @@ func TestParallelForDynamicBalancesSkew(t *testing.T) {
 	if dynamic >= static {
 		t.Fatalf("dynamic %.3fs should beat static %.3fs on skewed work", float64(dynamic), float64(static))
 	}
-	if rtD.Cluster().Stats().LockAcquires.Load() == 0 {
+	if rtD.Cluster().Stats().LockAcquires == 0 {
 		t.Fatal("dynamic schedule must go through the Tmk lock")
 	}
 }
