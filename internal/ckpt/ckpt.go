@@ -18,6 +18,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"nowomp/internal/dsm"
@@ -34,8 +35,9 @@ type Snapshot struct {
 	Forks      int64
 	State      map[string][]byte
 	// Protocol records the coherence protocol of the checkpointed run
-	// ("tmk" or "hlrc"); restore refuses a runtime configured with a
-	// different one, because the two price the recovery differently.
+	// ("tmk", "hlrc" or "hybrid"); restore refuses a runtime configured
+	// with a different one, because protocols price the recovery
+	// differently.
 	// Empty in pre-protocol snapshots, which restore as whatever the
 	// config says (they were all Tmk).
 	Protocol string
@@ -150,6 +152,12 @@ func Restore(cfg omp.Config, r io.Reader) (*omp.Runtime, *Restored, error) {
 	if len(snap.Team) == 0 {
 		return nil, nil, fmt.Errorf("ckpt: snapshot has no team")
 	}
+	if math.IsNaN(snap.MasterTime) || math.IsInf(snap.MasterTime, 0) || snap.MasterTime < 0 {
+		return nil, nil, fmt.Errorf("ckpt: master time %v is not a finite non-negative time", snap.MasterTime)
+	}
+	if snap.Forks < 0 {
+		return nil, nil, fmt.Errorf("ckpt: negative fork count %d", snap.Forks)
+	}
 	if snap.Protocol != "" && snap.Protocol != cfg.Protocol.String() {
 		return nil, nil, fmt.Errorf("ckpt: snapshot was taken under the %s protocol, config selects %s; restore with the matching Config.Protocol",
 			snap.Protocol, cfg.Protocol)
@@ -159,10 +167,15 @@ func Restore(cfg omp.Config, r io.Reader) (*omp.Runtime, *Restored, error) {
 		return nil, nil, err
 	}
 	team := make([]dsm.HostID, len(snap.Team))
+	seen := make([]bool, cfg.Hosts)
 	for i, h := range snap.Team {
 		if h < 0 || h >= cfg.Hosts {
 			return nil, nil, fmt.Errorf("ckpt: checkpointed host %d outside pool of %d", h, cfg.Hosts)
 		}
+		if seen[h] {
+			return nil, nil, fmt.Errorf("ckpt: checkpointed team lists host %d twice", h)
+		}
+		seen[h] = true
 		team[i] = dsm.HostID(h)
 	}
 	if err := rt.RestoreTeam(team); err != nil {

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"strings"
 	"testing"
 
@@ -58,6 +59,82 @@ func TestRestoreHostOutsidePool(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "outside pool") {
 		t.Fatalf("out-of-pool host must fail, got %v", err)
 	}
+}
+
+// TestRestoreRejectsMalformedSnapshots feeds Restore snapshots whose
+// decoded fields are well-typed but meaningless: each must return an
+// error naming the bad field rather than build a runtime from it.
+func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		snap Snapshot
+		want string
+	}{
+		{"duplicate host", Snapshot{Version: version, Team: []int{0, 0}}, "twice"},
+		{"NaN master time", Snapshot{Version: version, Team: []int{0}, MasterTime: math.NaN()}, "master time"},
+		{"infinite master time", Snapshot{Version: version, Team: []int{0}, MasterTime: math.Inf(1)}, "master time"},
+		{"negative master time", Snapshot{Version: version, Team: []int{0}, MasterTime: -5}, "master time"},
+		{"negative forks", Snapshot{Version: version, Team: []int{0}, Forks: -3}, "fork count"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&tc.snap); err != nil {
+				t.Fatal(err)
+			}
+			rt, _, err := Restore(omp.Config{Hosts: 2, Procs: 1, Adaptive: true}, &buf)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				var team any
+				if rt != nil {
+					team = rt.Team()
+				}
+				t.Fatalf("malformed snapshot must fail with %q, got err %v (team %v)", tc.want, err, team)
+			}
+		})
+	}
+}
+
+// FuzzRestore feeds Restore arbitrary bytes, seeded with one valid
+// snapshot and the malformed ones above. Truncated or corrupt input
+// must return an error, never panic; a snapshot that restores must
+// also survive the first step of the allocation replay.
+func FuzzRestore(f *testing.F) {
+	cfg := omp.Config{Hosts: 2, Procs: 1, Adaptive: true}
+	rt, err := omp.New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := omp.Alloc[float64](rt, "a", 16); err != nil {
+		f.Fatal(err)
+	}
+	var valid bytes.Buffer
+	if _, err := Save(rt, &valid, map[string]any{"iter": 1}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	for _, snap := range []Snapshot{
+		{Version: version, Team: []int{0, 0}},
+		{Version: version, Team: []int{0}, MasterTime: math.NaN()},
+		{Version: version, Team: []int{0}, MasterTime: -5},
+		{Version: version, Team: []int{0}, Forks: -3},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rt, restored, err := Restore(cfg, bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if rt.Now() < 0 || rt.Forks() < 0 {
+			t.Fatalf("restored runtime has clock %v, forks %d", rt.Now(), rt.Forks())
+		}
+		var iter int
+		_ = restored.State("iter", &iter)
+		_, _ = omp.Alloc[float64](rt, "a", 16)
+	})
 }
 
 func TestRestoredKeys(t *testing.T) {
