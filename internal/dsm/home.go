@@ -7,31 +7,24 @@ import (
 	"nowomp/internal/simtime"
 )
 
-// homeProtocol is home-based lazy release consistency, the protocol
-// family later cluster-OpenMP systems adopted because homeless LRC's
-// diff accumulation and garbage-collection costs dominate at scale. It
-// runs in two configurations, selected by ProtocolKind:
+// homeProtocol is home-based lazy release consistency. It serves two
+// ProtocolKinds: HLRC runs the plain home-based flow, and Hybrid turns
+// on per-page adaptive mechanisms, all gated by one bool.
 //
-// HLRC is the plain home-based protocol:
+// The home-based flow (HLRC):
 //
 //   - Every page has a home host, assigned round-robin by page across
 //     the hosts active at allocation time (the directory owner field
-//     doubles as the home).
-//   - Writers twin on first write, and when an interval closes
-//     (barrier, lock release, task handoff) each writer diffs against
-//     its twin and pushes the diff to the home eagerly, where it is
-//     applied at once. No diff outlives its interval close, so
-//     runGCLocked only prunes stale copies, at zero cost and zero
-//     traffic.
-//   - A fault pulls the whole page from the home in one round trip —
-//     no writer-by-writer diff chasing — which trades bytes for
-//     messages exactly the way the literature describes.
-//   - At an adaptation point a leaver's pages re-home round-robin
-//     across the remaining hosts; joiners receive the page-location
-//     map and fault pages in from their homes.
+//     doubles as the home); a leaver's pages re-home round-robin.
+//   - At interval close (barrier, lock release, task handoff) each
+//     writer diffs against its twin and pushes the diff to the home,
+//     where it is applied at once. No diff outlives its close, so GC
+//     only prunes stale copies, at zero cost and zero traffic.
+//   - A fault pulls the whole page from the home in one round trip,
+//     trading bytes for messages against Tmk's writer-by-writer chase.
 //
-// Hybrid (adaptive) specializes that baseline per page according to the
-// classifier in classify.go:
+// Hybrid specializes that flow per page according to the classifier in
+// classify.go:
 //
 //   - Home migration. A sole writer that is current at an interval
 //     close takes the page's home with it when that costs nothing —
@@ -60,18 +53,12 @@ import (
 //     there is no concurrent-writer race to evidence and no reader to
 //     serve, so the commit is a sequence-number update. A remote host
 //     touching the page later reclassifies it and the elision stops.
-//   - Configured leave handoff. Migrated homes sit at their writers
-//     like Tmk owners, so the configured handoff is honoured instead
-//     of HLRC's forced round-robin re-home.
 //
 // With adaptive off the classifier never observes, nothing is retained
-// and no twin is elided, so every window branch below is dead and each
-// path reduces to the plain home-based step. Correctness never depends
-// on the classifier: every specialization preserves "the home is
-// current as of the last committed interval", so a misclassified page
-// pays extra traffic, never wrong data. All transfers are priced
-// through the per-link machine.Costs layer, so a slow link to a home,
-// or a loaded home machine, bends these costs differently from Tmk's.
+// and no twin is elided, so the window branches below never fire.
+// Correctness never depends on the classifier: every specialization
+// preserves "the home is current as of the last committed interval",
+// so a misclassified page pays extra traffic, never wrong data.
 type homeProtocol struct {
 	c    *Cluster
 	kind ProtocolKind
@@ -127,10 +114,6 @@ const (
 	// a falsely-shared page's home migrates to it with a paid transfer.
 	domMigrateRun = 3
 )
-
-func newHomeProtocol(c *Cluster, kind ProtocolKind) *homeProtocol {
-	return &homeProtocol{c: c, kind: kind, adaptive: kind == Hybrid}
-}
 
 // Kind identifies the protocol.
 func (hp *homeProtocol) Kind() ProtocolKind { return hp.kind }
@@ -238,10 +221,9 @@ func (ch *homeChain) window(after int32) ([]chainEntry, int) {
 	return win, wire
 }
 
-// initRegion assigns each page a round-robin home among the active
-// hosts and materialises the zero-filled page there; the master keeps
-// a copy as well (it runs the sequential sections), which is current
-// because both are zero. The classifier and window tables grow too.
+// initRegion assigns round-robin homes (the master keeps a copy too,
+// for the sequential sections) and grows the classifier and window
+// tables.
 func (hp *homeProtocol) initRegion(r *Region) {
 	c := hp.c
 	active := c.ActiveHosts()
@@ -371,10 +353,8 @@ func (hp *homeProtocol) takeDiff(h *Host, pk pageKey, clk *simtime.Clock) *page.
 	return d
 }
 
-// pushDiff ships a taken diff to the home and applies it there,
-// charging the one-way push to clk and recording the push and the
-// home's ack on the fabric. For a writer that is its own home only the
-// sequence commit remains.
+// pushDiff ships a taken diff to the home and applies it there; a
+// writer that is its own home only commits the sequence.
 func (hp *homeProtocol) pushDiff(h *Host, pk pageKey, home HostID, d *page.Diff, s int32, clk *simtime.Clock) {
 	c := hp.c
 	if home != h.id {
@@ -393,16 +373,13 @@ func (hp *homeProtocol) pushDiff(h *Host, pk pageKey, home HostID, d *page.Diff,
 	}
 }
 
-// applyAtHome applies a pushed diff to the home's copy. If the home
-// has the page dirty in its own open interval, the incoming words must
-// be disjoint from the home's own modified words — an overlap is the
-// sub-word race the Tmk paths panic on, and must be caught *before*
-// the apply destroys the evidence — and the diff is applied to the
-// twin as well, so the home's eventual flush carries only its own
-// words. An elided home (dirty, no twin) has no diffable evidence —
-// its sole-writer proof already failed if a remote diff arrives — so
-// the check is skipped and the words merge (they are disjoint in a
-// race-free program).
+// applyAtHome applies a pushed diff to the home's copy. A home with the
+// page dirty and twinned first checks the incoming words against its
+// own (an overlap is a sub-word race, caught before the apply destroys
+// the evidence) and patches its twin too, so its own flush carries
+// only its words. An elided home (dirty, no twin) has no diffable
+// evidence — its sole-writer proof already failed if a remote diff
+// arrives — so the words just merge (disjoint in a race-free program).
 func (hp *homeProtocol) applyAtHome(from HostID, hh *Host, pk pageKey, d *page.Diff, s int32) {
 	st := &hh.pages[pk.region][pk.page]
 	if st.data == nil {
@@ -584,9 +561,6 @@ func (hp *homeProtocol) closeMulti(pk pageKey, pm *pageMeta, cr *classRec, write
 	}
 	pm.baseSeq = s
 
-	// A sole writer whose pre-write copy was current is itself current
-	// (its copy equals the home's); every other non-home copy now lacks
-	// words and goes invalid.
 	sole := HostID(-1)
 	if !elided && len(made) == 1 {
 		h := c.Host(made[0].writer)
@@ -652,13 +626,12 @@ func (hp *homeProtocol) invalidateStale(pk pageKey, keep HostID, s int32, active
 	}
 }
 
-// flushIntervalLocked commits h's open interval on a release path:
-// each written page's diff is pushed to its home, the page goes on the
-// release log so later acquirers honour the writes, and concurrent
-// dirty peers are checked for sub-word races. When adaptive, a dense
-// diff from a current writer first flips the home to the writer, and
-// every diff is retained in the home's window. The caller holds the
-// directory write lock.
+// flushIntervalLocked commits h's open interval on a release path,
+// pushing each written page's diff to its home and logging the page
+// for later acquirers. When adaptive, a dense diff from a current
+// writer first flips the home to the writer, and every diff is
+// retained in the home's window. The caller holds the directory write
+// lock.
 func (hp *homeProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
 	c := hp.c
 	c.seq++
@@ -724,13 +697,10 @@ func (hp *homeProtocol) flushIntervalLocked(h *Host, clk *simtime.Clock) int {
 }
 
 // upgradeOrInvalidate performs acquire-side consistency for one page:
-// a stale clean copy goes invalid (the next fault pulls the page from
-// the home); a stale dirty copy inside the home's window is patched in
-// place (diffs applied to data and twin, as the Tmk upgrade path
-// does), otherwise it is merged over a fresh home page — the home's
-// current page is fetched, becomes the new twin, and the host's own
-// modified words are overlaid (disjoint from the committed words in a
-// race-free program).
+// a stale clean copy goes invalid; a stale dirty copy inside the
+// home's window is patched in place (diffs applied to data and twin,
+// as the Tmk upgrade path does), otherwise the host's own words are
+// overlaid on a fresh home page, which also becomes the new twin.
 func (hp *homeProtocol) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Clock) {
 	c := hp.c
 	meta := c.dir.meta(pk.region, pk.page)
@@ -773,13 +743,11 @@ func (hp *homeProtocol) upgradeOrInvalidate(h *Host, pk pageKey, clk *simtime.Cl
 	st.appliedSeq = applied
 }
 
-// runGCLocked is trivial: homes are always current, so the pass only
-// prunes stale copies and normalises sequence numbers to restore the
-// adaptation invariant (owner valid and current, every other copy
-// valid-and-current or absent). No data moves and no time or traffic
-// is charged. It also resets the retained windows and the classifier:
-// an adaptation redraws the partition map, so the old sharing history
-// no longer describes the pages it tagged.
+// runGCLocked prunes stale copies and normalises sequence numbers
+// (homes are always current, so no data moves and no time is charged),
+// and resets the retained windows and the classifier: an adaptation
+// redraws the partition map, so the old sharing history no longer
+// describes the pages it tagged.
 func (hp *homeProtocol) runGCLocked(active []HostID) simtime.Seconds {
 	c := hp.c
 	gcSeq := c.seq

@@ -125,7 +125,7 @@ func newProtocol(k ProtocolKind, c *Cluster) (Protocol, error) {
 	case Tmk:
 		return &tmkProtocol{c: c}, nil
 	case HLRC, Hybrid:
-		return newHomeProtocol(c, k), nil
+		return &homeProtocol{c: c, kind: k, adaptive: k == Hybrid}, nil
 	}
 	return nil, fmt.Errorf("dsm: unknown protocol kind %d", int(k))
 }
