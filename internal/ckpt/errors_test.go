@@ -131,6 +131,8 @@ func FuzzRestore(f *testing.F) {
 		if rt.Now() < 0 || rt.Forks() < 0 {
 			t.Fatalf("restored runtime has clock %v, forks %d", rt.Now(), rt.Forks())
 		}
+		// Only panics fail here: fuzzed state and replay may well be
+		// rejected with an error.
 		var iter int
 		_ = restored.State("iter", &iter)
 		_, _ = omp.Alloc[float64](rt, "a", 16)
